@@ -30,8 +30,8 @@ bench-stream:
 bench-serving:
 	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_serving.py
 
-# Full serving profile with the worker-scaling (1/2/4) and
-# router-tightening (coarse vs bucketed) sweep, printed as a table.
+# Full serving profile with the worker-scaling (1/2/4) sweep, printed
+# as a table.
 bench-serving-parallel:
 	$(PYTHON) benchmarks/bench_serving.py --workers 4
 
@@ -61,8 +61,6 @@ bench-grid:
 	$(PYTHON) -m repro.bench grid benchmarks/grids/serving_worker_scaling.xp \
 		--tables benchmarks/tables
 	$(PYTHON) -m repro.bench grid benchmarks/grids/scenario_fleet.xp \
-		--tables benchmarks/tables
-	$(PYTHON) -m repro.bench grid benchmarks/grids/kernel_ablation.xp \
 		--tables benchmarks/tables
 
 # CI-smoke grid: a tiny 2x2 scenario sweep, run twice to prove resume.

@@ -11,9 +11,7 @@ is apples-to-apples and all results must agree exactly.
 
 Variants swept:
 
-* ``coarse`` — sharded, single-bbox router (``bucketed_router=False``),
-  the PR-2 baseline;
-* ``sharded`` — sharded, tightened per-floor bucketed router (serial);
+* ``sharded`` — sharded, per-floor bucketed router (serial);
 * ``workers=N`` — same router, routed shard maintenance fanned out on
   a thread pool (parallel ingest, still GIL-bound);
 * ``process=N`` — same router, shard maintenance in N supervised
@@ -23,14 +21,14 @@ Variants swept:
   nightly table alongside the thread rows.
 
 Reported per variant: wall-clock + updates/sec, shard-skip ratio (and
-``bucket_skips`` — exclusions only the tightened router found), pair
-evaluations, deltas/sec through the server.
+``bucket_skips`` — exclusions the coarse shard box admitted and only
+the grid buckets rejected), pair evaluations, deltas/sec through the
+server.
 
 Shape expectations asserted: every variant ends bit-identical to the
 single monitor *and* publishes the identical delta sequence (parallel
-merge is deterministic), the bucketed router skips at least as often
-as the coarse one, and no variant evaluates more pairs than the single
-monitor.
+merge is deterministic), the router skips shards, and no variant
+evaluates more pairs than the single monitor.
 
 ``--prob`` mixes standing probabilistic-threshold range queries
 (iPRQ, maintained by the pluggable ProbRangeMaintainer) into every
@@ -128,58 +126,37 @@ class Variant:
 
     label: str
     workers: int = 1
-    bucketed_router: bool = True
     #: ``"thread"`` (in-process pool) or ``"process"`` (supervised
     #: worker processes — ingest escapes the GIL).
     backend: str = "thread"
-    #: ``"scalar"`` per-pair bounds math or the batched ``"vector"``
-    #: numpy kernel (:mod:`repro.distances.batch`) — results are
-    #: bit-identical, which :func:`_check` asserts variant by variant.
-    kernel: str = "scalar"
 
 
-#: The full sweep as a grid definition: router before/after, worker
-#: scaling on both execution backends (threads share the GIL;
-#: processes escape it), each bucketed row under both bounds kernels.
+#: The full sweep as a grid definition: worker scaling on both
+#: execution backends (threads share the GIL; processes escape it).
 #: The same declarative machinery behind ``python -m repro.bench
-#: grid`` prunes the invalid corners (a coarse router is a serial
-#: scalar ablation; one worker never leaves the serial path), and the
-#: product order keeps the historical hand-rolled variant tuple as the
-#: scalar subsequence.
+#: grid`` prunes the invalid corner (one worker never leaves the
+#: serial path).
 VARIANT_GRID = ExperimentGrid(
     name="serving_variants",
     runner="serving",
     axes=[
-        Axis("router", "{}", ("coarse", "bucketed")),
         Axis("backend", "{}", ("thread", "process")),
         Axis("workers", "w{}", WORKERS_GRID),
-        Axis("kernel", "{}", ("scalar", "vector")),
     ],
     constraints=[
-        lambda p: p["router"] == "bucketed"
-        or (
-            p["workers"] == 1
-            and p["backend"] == "thread"
-            and p["kernel"] == "scalar"
-        ),
         lambda p: p["workers"] > 1 or p["backend"] == "thread",
     ],
 )
 
 
 def _variant_of(params: dict) -> Variant:
-    kernel = str(params.get("kernel", "scalar"))
-    suffix = "-vec" if kernel == "vector" else ""
-    if params["router"] == "coarse":
-        return Variant("coarse", bucketed_router=False)
     if params["workers"] == 1:
-        return Variant(f"sharded{suffix}", kernel=kernel)
+        return Variant("sharded")
     kind = "workers" if params["backend"] == "thread" else "process"
     return Variant(
-        f"{kind}={params['workers']}{suffix}",
+        f"{kind}={params['workers']}",
         workers=params["workers"],
         backend=params["backend"],
-        kernel=kernel,
     )
 
 
@@ -266,9 +243,7 @@ def run_serving(
             p_min=PROB_P_MIN,
             n_shards=n_shards,
             workers=v.workers,
-            bucketed_router=v.bucketed_router,
             backend=v.backend,
-            kernel=v.kernel,
         )
         for v in variants
     ]
@@ -379,23 +354,14 @@ def _check(run: ServingRun) -> None:
         assert res.results_equal, f"{label} diverged from the single monitor"
         assert res.pairs <= run.pairs_single, label
         assert res.deltas_published > 0, label
-        # Deterministic routing + ordered merge: every variant (router
-        # ablation and parallel alike) publishes the identical delta
-        # sequence, batch for batch.
+        # Deterministic routing + ordered merge: every variant (serial
+        # and parallel alike) publishes the identical delta sequence,
+        # batch for batch.
         assert res.delta_history == reference.delta_history, (
             f"{label} published a different delta sequence than "
             f"{reference.variant.label}"
         )
-    bucketed = [r for r in run.variants if r.variant.bucketed_router]
-    coarse = [r for r in run.variants if not r.variant.bucketed_router]
-    assert bucketed and bucketed[0].shard_skip_ratio > 0.0, (
-        "router never skipped a shard"
-    )
-    for c in coarse:
-        assert c.bucket_skips == 0  # coarse mode cannot bucket-skip
-        assert bucketed[0].shard_skip_ratio >= c.shard_skip_ratio, (
-            "tightened router skipped less than the coarse one"
-        )
+    assert reference.shard_skip_ratio > 0.0, "router never skipped a shard"
 
 
 @dataclass
@@ -480,7 +446,6 @@ def test_serving_single_vs_sharded(full_run, save_table):
     run = full_run
     n_shards = FULL[4]
     sharded = run.by_label("sharded")
-    coarse = run.by_label("coarse")
     result = ExperimentResult(
         title=f"Serving — single vs sharded(n={n_shards}) monitor",
         x_label="metric",
@@ -490,8 +455,7 @@ def test_serving_single_vs_sharded(full_run, save_table):
     result.add("single_upd_per_s", run.single_updates_per_sec)
     result.add("sharded_upd_per_s", run.updates_per_sec(sharded))
     result.add("deltas_per_s", run.deltas_per_sec(sharded))
-    result.add("skip_%_coarse", 100.0 * coarse.shard_skip_ratio)
-    result.add("skip_%_bucketed", 100.0 * sharded.shard_skip_ratio)
+    result.add("skip_%", 100.0 * sharded.shard_skip_ratio)
     result.add("bucket_skips", sharded.bucket_skips)
     result.add("pairs_single", run.pairs_single)
     result.add("pairs_sharded", sharded.pairs)
@@ -504,17 +468,12 @@ def test_serving_worker_scaling(full_run, save_table):
     from repro.bench.runner import ExperimentResult
 
     run = full_run
-    # The serial bucketed scalar variant is the workers=1 reference;
-    # the thread rows share the GIL, the process rows escape it, and
-    # each parallel shape appears under both bounds kernels (the
-    # kernel column) — all speedups divide by the one serial scalar
-    # baseline so rows are directly comparable.
+    # The serial sharded variant is the workers=1 reference; the
+    # thread rows share the GIL, the process rows escape it.
     labels = (
-        ["sharded", "sharded-vec"]
+        ["sharded"]
         + [f"workers={w}" for w in WORKERS_GRID[1:]]
-        + [f"workers={w}-vec" for w in WORKERS_GRID[1:]]
         + [f"process={w}" for w in WORKERS_GRID[1:]]
-        + [f"process={w}-vec" for w in WORKERS_GRID[1:]]
     )
     scaling = [run.by_label(label) for label in labels]
     result = ExperimentResult(
@@ -523,12 +482,9 @@ def test_serving_worker_scaling(full_run, save_table):
         unit="",
     )
     result.x_values.extend(
-        "workers=1" if res.variant.label == "sharded"
-        else "workers=1-vec" if res.variant.label == "sharded-vec"
-        else res.variant.label
+        "workers=1" if res.variant.label == "sharded" else res.variant.label
         for res in scaling
     )
-    result.series["kernel"] = [res.variant.kernel for res in scaling]
     result.series["upd_per_s"] = [
         run.updates_per_sec(res) for res in scaling
     ]
@@ -554,7 +510,7 @@ def test_serving_prob(save_table):
         n_irq,
         n_iknn,
         n_shards,
-        (Variant("coarse", bucketed_router=False), Variant("sharded")),
+        (Variant("sharded"),),
         n_iprq=PROB_QUERIES,
     )
     sharded = run.by_label("sharded")
@@ -1163,16 +1119,6 @@ def main(argv: list[str] | None = None) -> int:
         "is not given",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="distance-bounds path for the sharded variants: per-pair "
-        "scalar math or the batched numpy kernel; with --quick this "
-        "runs the kernel-equivalence smoke (scalar vs vector sharded "
-        "plus a parallel vector variant, delta histories asserted "
-        "bit-identical)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
@@ -1224,28 +1170,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend == "process" and not args.workers:
         args.workers = 2
 
-    if args.quick and args.kernel == "vector":
-        # CI smoke: kernel equivalence, not timing — the scalar
-        # sharded reference, the vector twin, and a parallel vector
-        # variant, all asserted bit-identical to the single monitor
-        # and to each other (delta histories included) by _check.
-        variants = (
-            Variant("sharded"),
-            Variant("sharded-vec", kernel="vector"),
-            Variant(
-                f"workers={args.workers or 2}-vec",
-                workers=args.workers or 2,
-                kernel="vector",
-            ),
-        )
-    elif args.quick and args.workers:
+    if args.quick and args.workers:
         # CI smoke: serial vs parallel equivalence, not timing.
         variants = _serial_parallel(args.workers, args.backend)
     elif args.quick:
-        variants = (
-            Variant("coarse", bucketed_router=False),
-            Variant("sharded"),
-        )
+        variants = (Variant("sharded"),)
     elif args.workers:
         wanted = _serial_parallel(args.workers, args.backend)[1]
         variants = FULL_VARIANTS + (
@@ -1276,8 +1205,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(header)
     serial = next(
-        (r for r in run.variants
-         if r.variant.workers == 1 and r.variant.bucketed_router),
+        (r for r in run.variants if r.variant.workers == 1),
         run.variants[0],
     )
     for res in run.variants:

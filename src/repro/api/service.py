@@ -27,7 +27,7 @@ them:
 A :class:`ServiceConfig` picks the execution engine — single
 :class:`~repro.queries.monitor.QueryMonitor` versus
 :class:`~repro.queries.shard.ShardedMonitor` (shard count, worker
-pool, bucketed router) — without changing a caller's code, and every
+pool, execution backend) — without changing a caller's code, and every
 standing-query id is claimed through one
 :func:`~repro.queries.monitor.claim_query_id` guard so duplicates fail
 loudly no matter which surface claimed first.
@@ -125,28 +125,26 @@ class ServiceConfig:
     ``n_shards=1`` (default) runs a single
     :class:`~repro.queries.monitor.QueryMonitor`; ``n_shards>1`` a
     :class:`~repro.queries.shard.ShardedMonitor`, with ``workers``
-    selecting its parallel ingest width and ``bucketed_router`` the
-    tightened per-floor reach tables.  ``backend`` picks the sharded
+    selecting its parallel ingest width.  ``backend`` picks the sharded
     execution engine: ``"thread"`` (default, in-process monitors on a
     thread pool) or ``"process"`` (shard monitors in worker processes
     behind :mod:`repro.queries.procpool` — ``backend="process"``
-    forces a sharded monitor even at ``n_shards=1``).  ``kernel``
-    picks the distance-bounds evaluation path for standing-query
-    maintenance: ``"scalar"`` (default, per-pair Python math) or
-    ``"vector"`` (the batched numpy kernel in
-    :mod:`repro.distances.batch` — bit-identical results, see the
-    ``kernel_*`` counters on
-    :class:`~repro.queries.monitor.MonitorStats`).  ``maxlen`` is
+    forces a sharded monitor even at ``n_shards=1``).  ``maxlen`` is
     the default subscription queue bound (``None`` = unbounded; see
     :class:`~repro.queries.serving.Subscription` for the drop-oldest
     policy and the ``dropped`` counter).
+
+    ``kernel`` is a compatibility field, not a knob: standing-query
+    maintenance always runs the batched bounds kernel of
+    :mod:`repro.distances.batch`, so ``"vector"`` is its default and
+    only legal value, and ``"scalar"`` (the removed per-pair path) is
+    rejected.
     """
 
     n_shards: int = 1
     workers: int = 1
-    bucketed_router: bool = True
     backend: str = "thread"
-    kernel: str = "scalar"
+    kernel: str = "vector"
     maxlen: int | None = None
 
     def __post_init__(self) -> None:
@@ -161,9 +159,11 @@ class ServiceConfig:
                 "backend must be 'thread' or 'process', "
                 f"got {self.backend!r}"
             )
-        if self.kernel not in ("scalar", "vector"):
+        if self.kernel != "vector":
             raise QueryError(
-                f"kernel must be 'scalar' or 'vector', got {self.kernel!r}"
+                f"kernel={self.kernel!r} is not available: the scalar "
+                "standing-query path was removed and 'vector' is the "
+                "only kernel"
             )
         if self.maxlen is not None and self.maxlen < 1:
             raise QueryError(f"maxlen must be >= 1, got {self.maxlen}")
@@ -200,16 +200,10 @@ class QueryService:
                 n_shards=self.config.n_shards,
                 session=self.session,
                 workers=self.config.workers,
-                bucketed_router=self.config.bucketed_router,
                 backend=self.config.backend,
-                kernel=self.config.kernel,
             )
         else:
-            self.monitor = QueryMonitor(
-                index,
-                session=self.session,
-                kernel=self.config.kernel,
-            )
+            self.monitor = QueryMonitor(index, session=self.session)
         self.server = MonitorServer(self.monitor)
         self.server.on_publish = self._feed_batch
         self.server.on_drop = self._feed_resync_snapshot
@@ -630,6 +624,11 @@ class QueryService:
         space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
+        # Knobs retired since the checkpoint was written.  Neither ever
+        # changed a result, so dropping them keeps the restore exact.
+        cfg.pop("bucketed_router", None)
+        if cfg.get("kernel") == "scalar":
+            del cfg["kernel"]
         population = ObjectPopulation(space)
         for payload in state.objects:
             population.insert(object_from_dict(payload))

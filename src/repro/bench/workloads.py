@@ -247,9 +247,7 @@ class WorkloadFactory:
         k: int | None = None,
         p_min: float = 0.5,
         workers: int = 1,
-        bucketed_router: bool = True,
         backend: str = "thread",
-        kernel: str = "scalar",
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -262,14 +260,9 @@ class WorkloadFactory:
 
         ``n_shards`` selects a :class:`ShardedMonitor` front-end instead
         of a single :class:`QueryMonitor` (``bench_serving`` compares
-        the two over identical streams); ``workers``,
-        ``bucketed_router`` and ``backend`` pass through to it
-        (parallel ingest / router-tightening ablation /
-        ``"process"`` shard workers that escape the GIL).  ``kernel``
-        selects the distance-bounds path — ``"scalar"`` per-pair math
-        or the batched ``"vector"`` numpy kernel
-        (:mod:`repro.distances.batch`), results bit-identical either
-        way.  ``n_iprq`` mixes standing
+        the two over identical streams); ``workers`` and ``backend``
+        pass through to it (parallel ingest / ``"process"`` shard
+        workers that escape the GIL).  ``n_iprq`` mixes standing
         probabilistic-threshold range queries (iPRQ, threshold
         ``p_min``, range = the profile's default range) into the
         workload — the ``--prob`` serving variant.  ``seed`` overrides
@@ -295,17 +288,13 @@ class WorkloadFactory:
             hop_probability=hop_probability, seed=base_seed + 7,
         )
         if n_shards is None:
-            monitor: QueryMonitor | ShardedMonitor = QueryMonitor(
-                index, kernel=kernel
-            )
+            monitor: QueryMonitor | ShardedMonitor = QueryMonitor(index)
         else:
             monitor = ShardedMonitor(
                 index,
                 n_shards=n_shards,
                 workers=workers,
-                bucketed_router=bucketed_router,
                 backend=backend,
-                kernel=kernel,
             )
         if query_range is None:
             query_range = p.default_range

@@ -34,10 +34,13 @@ A pair's topological bounds then reduce to a gather + add + row-min
 partition patched by the scalar direct-path term, exactly as
 :func:`repro.distances.bounds.subregion_stats` computes it.
 
-Bit-identity with the scalar path is a hard invariant, not an
-aspiration — the equivalence property suite asserts identical delta
-histories and identical prune decisions.  The arithmetic is arranged so
-every float operation matches the scalar sequence:
+This kernel is the only bounds path of standing-query maintenance;
+the scalar :func:`~repro.distances.bounds.object_bounds` and
+:func:`~repro.queries.prob_range.probability_bounds` remain for
+one-shot queries and serve as its oracle.  Bit-identity with them is a
+hard invariant, not an aspiration — the kernel property suite asserts
+equal intervals and probability bounds pair by pair.  The arithmetic
+is arranged so every float operation matches the scalar sequence:
 
 * planar squared distance is ``dx*dx + dy*dy`` — the same single
   addition ``(xy - p) ** 2 .sum(axis=1)`` performs over two elements;
@@ -322,7 +325,6 @@ def block_object_bounds(
     block: ObjectBlock,
     q: Point,
     space: IndoorSpace,
-    use_probabilistic: bool = True,
 ) -> list[DistanceInterval]:
     """Per-object pruning intervals for the whole block — the batched
     twin of :func:`repro.distances.bounds.object_bounds`, in block
@@ -336,12 +338,8 @@ def block_object_bounds(
     out: list[DistanceInterval] = []
     for j in range(len(block.objects)):
         a, b = off[j], off[j + 1]
-        if b - a == 1 or not use_probabilistic:
-            out.append(
-                DistanceInterval(
-                    float(tmin[a:b].min()), float(tmax[a:b].max())
-                )
-            )
+        if b - a == 1:
+            out.append(DistanceInterval(float(tmin[a]), float(tmax[a])))
         else:
             stats = [
                 SubregionStats(

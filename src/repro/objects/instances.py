@@ -45,6 +45,12 @@ class InstanceSet:
             raise ReproError("probs shape must match number of instances")
         if xy.shape[0] == 0:
             raise ReproError("an instance set cannot be empty")
+        # NaN slips through every comparison below (and through the
+        # mass check as a NaN sum), only to fail deep in maintenance.
+        if not (np.isfinite(xy).all() and np.isfinite(probs).all()):
+            raise ReproError(
+                "instance coordinates and probabilities must be finite"
+            )
         if np.any(probs < 0):
             raise ReproError("probabilities must be non-negative")
         total = float(probs.sum())

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import PersistError
+from repro.errors import PersistError, ReproError
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.objects.instances import InstanceSet
@@ -58,7 +58,7 @@ def _location_from_dict(data: dict[str, Any]) -> tuple[Circle, InstanceSet]:
             int(floor),
             np.asarray(data["probs"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
         raise PersistError(f"malformed object location: {exc}") from None
     return region, instances
 

@@ -336,11 +336,8 @@ class _WorkerWorld:
             t_shape=float(shape["t_shape"]),
         )
         self.session = QuerySession(self.index)
-        kernel = str(msg.get("kernel", "scalar"))
         self.shards: dict[int, QueryMonitor] = {
-            int(s): QueryMonitor(
-                self.index, session=self.session, kernel=kernel
-            )
+            int(s): QueryMonitor(self.index, session=self.session)
             for s in msg["shards"]
         }
         for record in msg["queries"]:
@@ -690,11 +687,9 @@ class ProcessShardPool:
         n_shards: int,
         workers: int = 1,
         config: ProcPoolConfig | None = None,
-        kernel: str = "scalar",
     ) -> None:
         self.index = index
         self.config = config or ProcPoolConfig()
-        self.kernel = kernel
         self.n_workers = max(1, min(workers, n_shards))
         self.proxies = [_ShardProxy(self, s) for s in range(n_shards)]
         self._owners = [s % self.n_workers for s in range(n_shards)]
@@ -815,7 +810,6 @@ class ProcessShardPool:
                 object_to_dict(obj) for obj in self.index.objects()
             ],
             "shards": self._worker_shards[w],
-            "kernel": self.kernel,
             "queries": queries,
             "epochs": epochs,
             "tvs": tvs,

@@ -270,8 +270,8 @@ class _ShardReach:
 
     ``box``/``radius`` are the coarse level (bounding box of all query
     points, maximum radius); ``buckets`` is the tightened per-floor
-    grid level.  An empty bucket tuple means "coarse only" (the
-    ``bucketed_router=False`` ablation mode).
+    grid level.  An infinite ``radius`` (an unfull ikNNQ) admits every
+    update and carries no buckets.
 
     Single-box routing (insert/delete) uses the scalar two-level test;
     batch routing packs the summary into numpy arrays once
@@ -299,19 +299,17 @@ class _ShardReach:
         return boxes, radii
 
     def coarse_may_affect(self, obj_box: Box3) -> bool:
-        if math.isinf(self.radius):
-            return True
         return obj_box.min_distance_to(self.box) <= self.radius + _EPS
 
     def bucket_may_affect(self, obj_box: Box3) -> bool:
-        if not self.buckets:
-            return True  # coarse-only mode: never tighten
         return any(b.may_affect(obj_box) for b in self.buckets)
 
     def may_affect(
         self, obj_box: Box3, stats: ShardStats | None = None
     ) -> bool:
         """Two-level test for a single box (insert/delete routing)."""
+        if math.isinf(self.radius):
+            return True
         if not self.coarse_may_affect(obj_box):
             return False
         if self.bucket_may_affect(obj_box):
@@ -329,6 +327,8 @@ class _ShardReach:
         """Two-level test for a move (old *or* new position relevant);
         a bucket skip is counted once per excluded update, not once per
         tested box."""
+        if math.isinf(self.radius):
+            return True
         if not (
             self.coarse_may_affect(old_box)
             or self.coarse_may_affect(new_box)
@@ -352,11 +352,13 @@ class _ShardReach:
 
         ``old_rows``/``new_rows`` are the batch's ``(n, 6)`` box arrays
         (:func:`_box_rows`); returns the boolean admission mask, in
-        batch order.  The caller handles the infinite-radius case (the
-        whole batch is relevant, no geometry needed).  Bucket skips are
-        counted exactly as the scalar test counts them: once per update
-        the coarse box admitted and the buckets excluded.
+        batch order.  An infinite radius admits the whole batch with no
+        geometry.  Bucket skips are counted exactly as the scalar test
+        counts them: once per update the coarse box admitted and the
+        buckets excluded.
         """
+        if math.isinf(self.radius):
+            return np.ones(len(new_rows), dtype=bool)
         threshold = self.radius + _EPS
         coarse = (
             _box_min_distances(self._coarse_rows, old_rows)[0]
@@ -365,8 +367,6 @@ class _ShardReach:
             _box_min_distances(self._coarse_rows, new_rows)[0]
             <= threshold
         )
-        if not self.buckets:
-            return coarse
         boxes, radii = self._bucket_rows
         in_reach = (
             (_box_min_distances(boxes, old_rows) <= radii).any(axis=0)
@@ -406,9 +406,10 @@ class ShardedMonitor:
       batches, merged in the same shard-index order, still
       bit-identical to serial.
 
-    ``bucketed_router=False`` falls back to the coarse single-box reach
-    summary (kept as an ablation for the benchmark's before/after
-    skip-ratio comparison).
+    Every backend absorbs updates through the batched bounds kernel:
+    the in-process backends pack each routed batch once and hand every
+    visited shard its routed view of the block; process workers pack
+    their routed subsets locally.
     """
 
     def __init__(
@@ -417,10 +418,8 @@ class ShardedMonitor:
         n_shards: int = 4,
         session: QuerySession | None = None,
         workers: int = 1,
-        bucketed_router: bool = True,
         backend: str = "thread",
         proc_config: "ProcPoolConfig | None" = None,
-        kernel: str = "scalar",
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
@@ -430,16 +429,10 @@ class ShardedMonitor:
             raise QueryError(
                 f"backend must be 'thread' or 'process', got {backend!r}"
             )
-        if kernel not in ("scalar", "vector"):
-            raise QueryError(
-                f"kernel must be 'scalar' or 'vector', got {kernel!r}"
-            )
         self.index = index
-        self.kernel = kernel
         self.session = session or QuerySession(index)
         self.workers = workers
         self.backend = backend
-        self.bucketed_router = bucketed_router
         self.routing = ShardStats()
         # Per-shard reach-table cache: (reach_epoch, topology_version,
         # reach) as of the last build; reused while neither moved.
@@ -462,7 +455,6 @@ class ShardedMonitor:
                 n_shards=n_shards,
                 workers=workers,
                 config=proc_config,
-                kernel=kernel,
             )
             self.shards = self._pool.proxies
         else:
@@ -471,7 +463,7 @@ class ShardedMonitor:
                     "proc_config is only meaningful with backend='process'"
                 )
             self.shards = [
-                QueryMonitor(index, session=self.session, kernel=kernel)
+                QueryMonitor(index, session=self.session)
                 for _ in range(n_shards)
             ]
             if workers > 1:
@@ -669,11 +661,8 @@ class ShardedMonitor:
                 plan.append(("drain", None))
                 routed.append(None)
                 continue
-            if math.isinf(reach.radius):
-                keep = list(range(len(moved)))
-            else:
-                mask = reach.admit_moves(old_rows, new_rows, self.routing)
-                keep = [i for i, k in enumerate(mask) if k]
+            mask = reach.admit_moves(old_rows, new_rows, self.routing)
+            keep = [i for i, k in enumerate(mask) if k]
             if not keep:
                 # Skipped: no pair is evaluated, but parked deltas
                 # (registrations, out-of-band resyncs) still flow.
@@ -687,9 +676,7 @@ class ShardedMonitor:
             self.routing.updates_filtered += len(moved) - len(keep)
             plan.append(("moves", [moved[i] for i in keep]))
             routed.append(keep)
-        if self.kernel == "vector" and self._pool is None and any(
-            keep is not None for keep in routed
-        ):
+        if self._pool is None and any(keep is not None for keep in routed):
             # Pack the whole batch's subregion stats ONCE and hand each
             # visited shard its routed view — the per-object packing
             # work is shared across shards instead of repeated inside
@@ -836,17 +823,11 @@ class ShardedMonitor:
             def run_moves() -> DeltaBatch:
                 # Keep only the deltas: `moved` is already carried once
                 # at the top level (shards each re-list their routed
-                # subset).  Under kernel="vector" the payload carries
-                # the pre-packed block view alongside the objects.
-                if isinstance(payload, tuple):
-                    relevant, subblock = payload
-                    return DeltaBatch(
-                        deltas=shard.ingest_moves(
-                            relevant, block=subblock
-                        ).deltas
-                    )
+                # subset).  The payload carries the pre-packed block
+                # view alongside the objects.
+                relevant, subblock = payload
                 return DeltaBatch(
-                    deltas=shard.ingest_moves(payload).deltas
+                    deltas=shard.ingest_moves(relevant, block=subblock).deltas
                 )
 
             return run_moves
@@ -935,8 +916,6 @@ class ShardedMonitor:
                 z = q.z(fh)
                 minz, maxz = min(minz, z), max(maxz, z)
                 radius = max(radius, reach)
-                if not self.bucketed_router:
-                    continue
                 gx = min(max(int((q.x - b.minx) / cell_w), 0), side - 1)
                 gy = min(max(int((q.y - b.miny) / cell_h), 0), side - 1)
                 cell = cells.get((floor, gx, gy))

@@ -35,6 +35,8 @@ from repro.persist import (
     recover,
     write_checkpoint,
 )
+from repro.persist.codec import move_from_dict, object_from_dict
+from repro.persist.wal import WalMoves, decode_wal_record, encode_wal_record
 from repro.space.events import CloseDoor
 from repro.space.mall import build_mall
 
@@ -251,6 +253,47 @@ class TestServiceRoundTrip:
         assert restored.result_distances(qid) == {}
         service.close()
         restored.close()
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_checkpoint_with_retired_knobs_recovers(
+        self, tmp_path, n_shards
+    ):
+        """A checkpoint written while the config still carried
+        ``kernel="scalar"`` and ``bucketed_router=False`` recovers to
+        the live results and the live service's later deltas."""
+        space, stream, index = _mall_world()
+        service = QueryService(index, ServiceConfig(n_shards=n_shards))
+        ids = [service.watch(s) for s in _mall_specs(space)]
+        for _ in range(4):
+            service.ingest(list(stream.next_moves(10)))
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        state = read_checkpoint(path)
+        state.config.update(kernel="scalar", bucketed_router=False)
+        old = tmp_path / "old.jsonl"
+        write_checkpoint(old, state)
+        restored = QueryService.restore(old)
+        assert restored.config == service.config
+        for qid in ids:
+            assert restored.result_distances(qid) == \
+                service.result_distances(qid)
+        for _ in range(4):
+            batch = list(stream.next_moves(10))
+            assert _batch_keys(restored.ingest(batch)) == \
+                _batch_keys(service.ingest(batch))
+        service.close()
+        restored.close()
+
+    def test_checkpoint_with_unknown_kernel_is_unusable(self, tmp_path):
+        space, _stream, index = _mall_world()
+        service = QueryService(index)
+        path = tmp_path / "ckpt.jsonl"
+        service.checkpoint(path)
+        state = read_checkpoint(path)
+        state.config["kernel"] = "gpu"
+        with pytest.raises(PersistError, match="unusable config"):
+            QueryService.from_state(state)
+        service.close()
 
     def test_count_spec_is_watch_only(self, five_rooms_index):
         service = QueryService(five_rooms_index)
@@ -494,3 +537,46 @@ class TestStoreRecovery:
             service.result_distances("kiosk")
         service.close()
         recovered.close()
+
+
+# ---------------------------------------------------------------------
+# non-finite instance data in persisted inputs
+# ---------------------------------------------------------------------
+
+
+class TestNonFiniteLocations:
+    """JSON admits ``NaN``/``Infinity`` literals, so a move or object
+    record read back from the WAL (or handed over the wire to a shard
+    worker) can carry them; the codec must refuse with a typed error
+    instead of letting maintenance fail half-way."""
+
+    @staticmethod
+    def _location(xy, probs):
+        return {
+            "center": [1.0, 1.0, 0],
+            "radius": 1.0,
+            "xy": xy,
+            "probs": probs,
+        }
+
+    @pytest.mark.parametrize(
+        "xy, probs",
+        [
+            ([[float("nan"), 1.0], [2.0, 3.0]], [0.5, 0.5]),
+            ([[1.0, float("inf")], [2.0, 3.0]], [0.5, 0.5]),
+            ([[1.0, 1.0], [2.0, 3.0]], [float("nan"), 0.5]),
+        ],
+    )
+    def test_codec_refuses_non_finite(self, xy, probs):
+        data = {"id": "o1", **self._location(xy, probs)}
+        with pytest.raises(PersistError, match="finite"):
+            move_from_dict(data)
+        with pytest.raises(PersistError, match="finite"):
+            object_from_dict(data)
+
+    def test_nan_wal_move_record_is_a_persist_error(self):
+        line = encode_wal_record(WalMoves((_point_move("o1", 1.0, 2.0),)))
+        poisoned = line.replace("[1.0,2.0]", "[NaN,2.0]")
+        assert poisoned != line
+        with pytest.raises(PersistError, match="finite"):
+            decode_wal_record(poisoned)

@@ -237,14 +237,11 @@ class TestServiceConfig:
         assert service.routing is None
 
     def test_sharded_engine_selected(self, five_rooms_index):
-        config = ServiceConfig(
-            n_shards=3, workers=2, bucketed_router=False
-        )
+        config = ServiceConfig(n_shards=3, workers=2)
         with QueryService(five_rooms_index, config) as service:
             assert isinstance(service.monitor, ShardedMonitor)
             assert service.monitor.n_shards == 3
             assert service.monitor.workers == 2
-            assert not service.monitor.bucketed_router
             assert service.routing is not None
 
     def test_invalid_config_rejected(self):
@@ -254,6 +251,12 @@ class TestServiceConfig:
             ServiceConfig(workers=0)
         with pytest.raises(QueryError):
             ServiceConfig(maxlen=0)
+
+    def test_kernel_is_a_vector_only_compat_field(self):
+        assert ServiceConfig().kernel == "vector"
+        assert ServiceConfig(kernel="vector").kernel == "vector"
+        with pytest.raises(QueryError, match="removed"):
+            ServiceConfig(kernel="scalar")
 
     def test_config_maxlen_is_subscription_default(
         self, five_rooms_index

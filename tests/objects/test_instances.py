@@ -45,6 +45,16 @@ class TestConstruction:
         with pytest.raises(ReproError):
             InstanceSet(np.zeros((2, 2)), 0, np.array([0.9, 0.9]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ReproError, match="finite"):
+            InstanceSet([[bad, 1.0], [2.0, 3.0]], 0, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        with pytest.raises(ReproError, match="finite"):
+            InstanceSet([[0.0, 1.0], [2.0, 3.0]], 0, [bad, 0.5])
+
     def test_partial_mass_allowed_for_subregions(self):
         s = InstanceSet(np.zeros((2, 2)), 0, np.array([0.1, 0.2]))
         assert s.mass == pytest.approx(0.3)

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.api.specs import KNNSpec, RangeSpec
-from repro.geometry import Point
 from repro.geometry.rect import Box3
 from repro.index import CompositeIndex
 from repro.objects import ObjectGenerator
@@ -147,18 +146,6 @@ class TestDensityDerivedGrid:
                 assert bucket.box.maxx <= reach.box.maxx
                 assert bucket.box.miny >= reach.box.miny
                 assert bucket.box.maxy <= reach.box.maxy
-        finally:
-            monitor.close()
-
-    def test_ablation_mode_has_no_buckets(self):
-        space, gen, pop, index = _mall_world()
-        monitor = ShardedMonitor(
-            index, n_shards=1, bucketed_router=False
-        )
-        try:
-            monitor.register(RangeSpec(Point(50.0, 50.0, 0), 5.0))
-            reach = monitor._reach_of(0)
-            assert reach is not None and reach.buckets == ()
         finally:
             monitor.close()
 

@@ -222,17 +222,22 @@ class TestBucketRouter:
         assert sharded.result_ids(b) == {"far"}
 
     def test_coarse_mode_admits_what_buckets_reject(self, five_rooms_index):
-        """The bucketed_router=False ablation reproduces the PR-2
-        single-bbox behaviour: the gap update wakes the shard."""
-        sharded = ShardedMonitor(
-            five_rooms_index, n_shards=1, bucketed_router=False
-        )
+        """The coarse level alone (the single bbox + max-radius
+        summary) would wake the shard for a gap update; the two-level
+        test rejects it and books the exclusion as a bucket skip."""
+        sharded = ShardedMonitor(five_rooms_index, n_shards=1)
         sharded.register(RangeSpec(Q_LEFT, 4.0))
         sharded.register(RangeSpec(Q_RIGHT, 4.0))
-        sharded.apply_moves([_point_move("mid", 15.0, 5.0)])
-        sharded.apply_moves([_point_move("mid", 15.5, 5.0)])
-        assert sharded.routing.shards_skipped == 0
-        assert sharded.routing.bucket_skips == 0
+        reach = sharded._reach_of(0)
+        gap = _object_box(
+            _point_object("gap", 15.0, 5.0),
+            five_rooms_index.space.floor_height,
+        )
+        assert reach.coarse_may_affect(gap)
+        assert not reach.bucket_may_affect(gap)
+        stats = ShardStats()
+        assert not reach.may_affect_move(gap, gap, stats)
+        assert stats.bucket_skips == 1
 
     def test_insert_in_gap_is_bucket_skipped(self, five_rooms_index):
         sharded = ShardedMonitor(five_rooms_index, n_shards=1)
