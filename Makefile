@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 tier2 test bench bench-stream bench-serving \
-	bench-serving-parallel bench-serving-process bench-serving-net \
+	bench-serving-parallel bench-serving-net \
 	bench-restart bench-grid bench-grid-quick lint docs-check figures
 
 # Fast correctness gate (default pytest run already excludes tier2).
@@ -30,16 +30,12 @@ bench-stream:
 bench-serving:
 	$(PYTHON) -m pytest -q -m tier2 benchmarks/bench_serving.py
 
-# Full serving profile with the worker-scaling (1/2/4) sweep, printed
-# as a table.
+# Full serving profile: serial shards and 2/4 spawned shard worker
+# processes (GIL-free ingest) behind the same ShardedMonitor surface,
+# each asserted bit-identical to serial.  Timing is only meaningful on
+# a multi-core machine.
 bench-serving-parallel:
 	$(PYTHON) benchmarks/bench_serving.py --workers 4
-
-# Process-backend serving: spawned shard workers (GIL-free ingest)
-# behind the same ShardedMonitor surface, asserted bit-identical to
-# serial.  Timing is only meaningful on a multi-core machine.
-bench-serving-process:
-	$(PYTHON) benchmarks/bench_serving.py --backend process --workers 4
 
 # Network serving: N TCP subscribers x M standing queries against a
 # live NetServer, asserting exact convergence at quiesce.

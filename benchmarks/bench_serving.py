@@ -12,13 +12,11 @@ is apples-to-apples and all results must agree exactly.
 Variants swept:
 
 * ``sharded`` — sharded, per-floor bucketed router (serial);
-* ``workers=N`` — same router, routed shard maintenance fanned out on
-  a thread pool (parallel ingest, still GIL-bound);
 * ``process=N`` — same router, shard maintenance in N supervised
-  worker *processes* (``backend="process"``): updates travel through a
+  worker *processes* (``workers=N``): updates travel through a
   shared-memory position table, deltas come back as wire records, and
-  ingest escapes the GIL.  Feeds the ``serving_worker_scaling``
-  nightly table alongside the thread rows.
+  ingest escapes the GIL.  The timed worker-scaling table comes from
+  ``benchmarks/grids/serving_worker_scaling.xp``.
 
 Reported per variant: wall-clock + updates/sec, shard-skip ratio (and
 ``bucket_skips`` — exclusions the coarse shard box admitted and only
@@ -46,7 +44,6 @@ object count and recovery-replay throughput.
 Also runnable standalone (CI smoke)::
 
     python benchmarks/bench_serving.py --quick --workers 2 --prob
-    python benchmarks/bench_serving.py --quick --backend process
 """
 
 import argparse
@@ -125,39 +122,26 @@ class Variant:
     """One sharded-monitor configuration under test."""
 
     label: str
+    #: ``1`` runs the shards serially in-process; ``N > 1`` in N
+    #: supervised worker processes.
     workers: int = 1
-    #: ``"thread"`` (in-process pool) or ``"process"`` (supervised
-    #: worker processes — ingest escapes the GIL).
-    backend: str = "thread"
 
 
-#: The full sweep as a grid definition: worker scaling on both
-#: execution backends (threads share the GIL; processes escape it).
-#: The same declarative machinery behind ``python -m repro.bench
-#: grid`` prunes the invalid corner (one worker never leaves the
-#: serial path).
+#: The full sweep as a grid definition (the same declarative machinery
+#: behind ``python -m repro.bench grid``): serial shards, then 2 and 4
+#: shard worker processes.
 VARIANT_GRID = ExperimentGrid(
     name="serving_variants",
-    runner="serving",
-    axes=[
-        Axis("backend", "{}", ("thread", "process")),
-        Axis("workers", "w{}", WORKERS_GRID),
-    ],
-    constraints=[
-        lambda p: p["workers"] > 1 or p["backend"] == "thread",
-    ],
+    runner="stream",
+    axes=[Axis("workers", "w{}", WORKERS_GRID)],
 )
 
 
 def _variant_of(params: dict) -> Variant:
-    if params["workers"] == 1:
+    workers = params["workers"]
+    if workers == 1:
         return Variant("sharded")
-    kind = "workers" if params["backend"] == "thread" else "process"
-    return Variant(
-        f"{kind}={params['workers']}",
-        workers=params["workers"],
-        backend=params["backend"],
-    )
+    return Variant(f"process={workers}", workers=workers)
 
 
 FULL_VARIANTS = tuple(
@@ -213,12 +197,6 @@ class ServingRun:
                 return res
         raise KeyError(label)
 
-    def speedup(self, label: str, over: str) -> float:
-        """Wall-clock speedup of ``label`` over ``over`` (>1 is faster)."""
-        num = self.by_label(over).elapsed_s
-        den = self.by_label(label).elapsed_s
-        return num / den if den else 0.0
-
 
 def run_serving(
     factory: WorkloadFactory,
@@ -243,7 +221,6 @@ def run_serving(
             p_min=PROB_P_MIN,
             n_shards=n_shards,
             workers=v.workers,
-            backend=v.backend,
         )
         for v in variants
     ]
@@ -412,14 +389,8 @@ def measure_wire(history: tuple) -> WireTransport:
     )
 
 
-def _serial_parallel(
-    workers: int, backend: str = "thread"
-) -> tuple[Variant, ...]:
-    label = "workers" if backend == "thread" else "process"
-    return (
-        Variant("sharded"),
-        Variant(f"{label}={workers}", workers=workers, backend=backend),
-    )
+def _serial_parallel(workers: int) -> tuple[Variant, ...]:
+    return (Variant("sharded"), _variant_of({"workers": workers}))
 
 
 @pytest.fixture(scope="module")
@@ -461,37 +432,6 @@ def test_serving_single_vs_sharded(full_run, save_table):
     result.add("pairs_sharded", sharded.pairs)
     result.add("audit_dropped", sharded.deltas_dropped)
     save_table("serving_comparison", result)
-    _check(run)
-
-
-def test_serving_worker_scaling(full_run, save_table):
-    from repro.bench.runner import ExperimentResult
-
-    run = full_run
-    # The serial sharded variant is the workers=1 reference; the
-    # thread rows share the GIL, the process rows escape it.
-    labels = (
-        ["sharded"]
-        + [f"workers={w}" for w in WORKERS_GRID[1:]]
-        + [f"process={w}" for w in WORKERS_GRID[1:]]
-    )
-    scaling = [run.by_label(label) for label in labels]
-    result = ExperimentResult(
-        title=f"Serving — worker scaling (n_shards={FULL[4]})",
-        x_label="workers",
-        unit="",
-    )
-    result.x_values.extend(
-        "workers=1" if res.variant.label == "sharded" else res.variant.label
-        for res in scaling
-    )
-    result.series["upd_per_s"] = [
-        run.updates_per_sec(res) for res in scaling
-    ]
-    result.series["speedup_vs_serial"] = [
-        run.speedup(res.variant.label, "sharded") for res in scaling
-    ]
-    save_table("serving_worker_scaling", result)
     _check(run)
 
 
@@ -1106,17 +1046,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="also run a parallel variant and assert it is "
-        "bit-identical to serial",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution backend for the parallel variant: 'thread' "
-        "(in-process pool, shares the GIL) or 'process' (supervised "
-        "shard worker processes); implies --workers 2 when --workers "
-        "is not given",
+        help="also run a variant with N shard worker processes and "
+        "assert it is bit-identical to serial",
     )
     parser.add_argument(
         "--seed",
@@ -1167,16 +1098,13 @@ def main(argv: list[str] | None = None) -> int:
     n_batches = args.batches or n_batches
     batch_size = args.batch_size or batch_size
 
-    if args.backend == "process" and not args.workers:
-        args.workers = 2
-
     if args.quick and args.workers:
         # CI smoke: serial vs parallel equivalence, not timing.
-        variants = _serial_parallel(args.workers, args.backend)
+        variants = _serial_parallel(args.workers)
     elif args.quick:
         variants = (Variant("sharded"),)
     elif args.workers:
-        wanted = _serial_parallel(args.workers, args.backend)[1]
+        wanted = _serial_parallel(args.workers)[1]
         variants = FULL_VARIANTS + (
             () if wanted in FULL_VARIANTS else (wanted,)
         )

@@ -27,7 +27,7 @@ them:
 A :class:`ServiceConfig` picks the execution engine — single
 :class:`~repro.queries.monitor.QueryMonitor` versus
 :class:`~repro.queries.shard.ShardedMonitor` (shard count, worker
-pool, execution backend) — without changing a caller's code, and every
+worker processes) — without changing a caller's code, and every
 standing-query id is claimed through one
 :func:`~repro.queries.monitor.claim_query_id` guard so duplicates fail
 loudly no matter which surface claimed first.
@@ -122,14 +122,12 @@ class _IdCounter:
 class ServiceConfig:
     """Execution knobs of a :class:`QueryService`.
 
-    ``n_shards=1`` (default) runs a single
-    :class:`~repro.queries.monitor.QueryMonitor`; ``n_shards>1`` a
-    :class:`~repro.queries.shard.ShardedMonitor`, with ``workers``
-    selecting its parallel ingest width.  ``backend`` picks the sharded
-    execution engine: ``"thread"`` (default, in-process monitors on a
-    thread pool) or ``"process"`` (shard monitors in worker processes
-    behind :mod:`repro.queries.procpool` — ``backend="process"``
-    forces a sharded monitor even at ``n_shards=1``).  ``maxlen`` is
+    ``n_shards=1, workers=1`` (default) runs a single
+    :class:`~repro.queries.monitor.QueryMonitor`; ``n_shards > 1`` or
+    ``workers > 1`` a :class:`~repro.queries.shard.ShardedMonitor`.
+    ``workers=1`` keeps its shards in-process and runs them serially;
+    ``workers > 1`` moves them into that many worker processes behind
+    :mod:`repro.queries.procpool`.  ``maxlen`` is
     the default subscription queue bound (``None`` = unbounded; see
     :class:`~repro.queries.serving.Subscription` for the drop-oldest
     policy and the ``dropped`` counter).
@@ -143,7 +141,6 @@ class ServiceConfig:
 
     n_shards: int = 1
     workers: int = 1
-    backend: str = "thread"
     kernel: str = "vector"
     maxlen: int | None = None
 
@@ -154,11 +151,6 @@ class ServiceConfig:
             )
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in ("thread", "process"):
-            raise QueryError(
-                "backend must be 'thread' or 'process', "
-                f"got {self.backend!r}"
-            )
         if self.kernel != "vector":
             raise QueryError(
                 f"kernel={self.kernel!r} is not available: the scalar "
@@ -194,13 +186,12 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.index = index
         self.session = session or QuerySession(index)
-        if self.config.n_shards > 1 or self.config.backend == "process":
+        if self.config.n_shards > 1 or self.config.workers > 1:
             self.monitor: QueryMonitor | ShardedMonitor = ShardedMonitor(
                 index,
                 n_shards=self.config.n_shards,
                 session=self.session,
                 workers=self.config.workers,
-                backend=self.config.backend,
             )
         else:
             self.monitor = QueryMonitor(index, session=self.session)
@@ -219,7 +210,7 @@ class QueryService:
 
     def close(self) -> None:
         """End every subscription and shut a sharded monitor's worker
-        pool down (idempotent).  Attached feeds are not closed — their
+        processes down (idempotent).  Attached feeds are not closed — their
         files belong to the caller."""
         self._closed = True
         self.server.close()
@@ -393,12 +384,11 @@ class QueryService:
         if self._closed:
             raise QueryError("service is closed")
         # The server's writer lock serialises this sync mutation against
-        # any in-flight offloaded batch of a concurrently running
-        # serve() — monitor and index state stay single-writer.  (The
-        # publish itself is only loop-safe when no event loop is
-        # draining subscribers at this instant; interleave sync
-        # mutations with an active serve() from `on_batch`, not from a
-        # foreign thread.)
+        # a batch the event loop is applying — monitor and index state
+        # stay single-writer.  (The publish itself is only loop-safe
+        # when no event loop is draining subscribers at this instant;
+        # interleave sync mutations with an active serve() from
+        # `on_batch`, not from a foreign thread.)
         with self.server._op_lock:
             batch = op()
             # WAL after the mutation succeeded (a raising op logs
@@ -624,11 +614,15 @@ class QueryService:
         space.topology_version = int(state.topology_version)
         cfg = dict(state.config)
         index_shape = cfg.pop("index", {})
-        # Knobs retired since the checkpoint was written.  Neither ever
+        # Knobs retired since the checkpoint was written.  None ever
         # changed a result, so dropping them keeps the restore exact.
+        # A thread-backed engine ran its shards in-process, which is
+        # what workers=1 means now.
         cfg.pop("bucketed_router", None)
         if cfg.get("kernel") == "scalar":
             del cfg["kernel"]
+        if cfg.pop("backend", None) == "thread":
+            cfg["workers"] = 1
         population = ObjectPopulation(space)
         for payload in state.objects:
             population.insert(object_from_dict(payload))

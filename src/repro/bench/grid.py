@@ -2,7 +2,7 @@
 
 The benchmark scripts each hand-roll one sweep; this subsystem makes
 sweeps *data*.  An :class:`ExperimentGrid` declares named parameter
-axes (objects x update rate x shards x workers x backend x query mix x
+axes (objects x update rate x shards x workers x query mix x
 scenario ...) plus constraints that prune invalid cells; a
 :class:`GridRunner` materialises one output directory per surviving
 cell (``params.json`` + ``result.json`` + ``log.txt``), skipping cells
@@ -17,11 +17,11 @@ Grids are written as *xpfiles* — small Python files evaluated in a
 scope exposing the declaration DSL::
 
     name("serving_worker_scaling")
-    runner("serving")                       # a registered cell runner
+    runner("stream")                        # a registered cell runner
     param("workers", "w{}", [1, 2, 4])      # one axis
-    param("backend", "{}", ["thread", "process"])
-    fixed("n_shards", 4)                    # constant, not swept
-    constraint(lambda p: p["workers"] > 1 or p["backend"] == "thread")
+    param("batch_size", "bs{}", [5, 40])
+    fixed("shards", 4)                      # constant, not swept
+    constraint(lambda p: p["workers"] < 4 or p["batch_size"] > 5)
     def _table(cells): ...
     table(_table)                           # cells -> ExperimentResult
 

@@ -213,8 +213,8 @@ def _merge(*parts: dict[str, Any], **extra: Any) -> dict[str, Any]:
 @register_cell_runner("stream")
 def run_stream_cell(params: dict, ctx: CellContext) -> dict:
     """Generic continuous-monitoring cell: objects x update rate x
-    shards x workers x backend x query mix, each an optional param
-    with profile defaults."""
+    shards x workers x query mix, each an optional param with profile
+    defaults (``workers > 1`` runs the shards in worker processes)."""
     profile = scenario_profile(ctx)
     factory = WorkloadFactory(profile, seed=ctx.seed)
     repeat = int(params.get("repeat", 1))
@@ -229,7 +229,6 @@ def run_stream_cell(params: dict, ctx: CellContext) -> dict:
             n_objects=params.get("objects"),
             n_shards=params.get("shards"),
             workers=int(params.get("workers", 1)),
-            backend=str(params.get("backend", "thread")),
             seed=ctx.seed,
         )
         try:
@@ -260,38 +259,6 @@ def _close(scenario: StreamScenario) -> None:
     close = getattr(scenario.monitor, "close", None)
     if close is not None:
         close()
-
-
-@register_cell_runner("serving")
-def run_serving_cell(params: dict, ctx: CellContext) -> dict:
-    """One worker-scaling variant per cell — the grid-native version
-    of ``bench_serving``'s ``FULL_VARIANTS`` loop.  ``workers=1`` with
-    the thread backend is the serial sharded baseline the table's
-    speedup column divides by."""
-    profile = scenario_profile(ctx)
-    factory = WorkloadFactory(profile, seed=ctx.seed)
-    scenario = factory.stream_scenario(
-        n_irq=int(params.get("n_irq", 4)),
-        n_iknn=int(params.get("n_iknn", 2)),
-        n_shards=int(params.get("n_shards", 4)),
-        workers=int(params["workers"]),
-        backend=str(params["backend"]),
-        seed=ctx.seed,
-    )
-    try:
-        result = _drive(
-            scenario.monitor,
-            scenario.stream,
-            int(params.get("batches", 4)),
-            int(params.get("batch_size", 10)),
-        )
-    finally:
-        _close(scenario)
-    ctx.log(
-        f"{params['workers']}x{params['backend']}: "
-        f"{result['updates_per_sec']:.0f} upd/s"
-    )
-    return result
 
 
 # ---------------------------------------------------------------------

@@ -247,7 +247,6 @@ class WorkloadFactory:
         k: int | None = None,
         p_min: float = 0.5,
         workers: int = 1,
-        backend: str = "thread",
         seed: int | None = None,
     ) -> "StreamScenario":
         """A continuous-monitoring scenario: standing queries + stream.
@@ -260,9 +259,9 @@ class WorkloadFactory:
 
         ``n_shards`` selects a :class:`ShardedMonitor` front-end instead
         of a single :class:`QueryMonitor` (``bench_serving`` compares
-        the two over identical streams); ``workers`` and ``backend``
-        pass through to it (parallel ingest / ``"process"`` shard
-        workers that escape the GIL).  ``n_iprq`` mixes standing
+        the two over identical streams); ``workers`` passes through to
+        it (``workers > 1`` runs the shards in that many worker
+        processes, which escape the GIL).  ``n_iprq`` mixes standing
         probabilistic-threshold range queries (iPRQ, threshold
         ``p_min``, range = the profile's default range) into the
         workload — the ``--prob`` serving variant.  ``seed`` overrides
@@ -294,7 +293,6 @@ class WorkloadFactory:
                 index,
                 n_shards=n_shards,
                 workers=workers,
-                backend=backend,
             )
         if query_range is None:
             query_range = p.default_range

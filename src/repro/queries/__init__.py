@@ -31,12 +31,11 @@ across monitor shards with a bound-based update router (per-floor
 bucketed reach tables with density-derived grid resolution, cached
 between batches while no influence radius moves; the hot path tests
 a whole batch against every bucket in a handful of numpy array ops).
-``workers=N`` runs routed shard maintenance on a thread pool, and
-``backend="process"`` moves the shards into supervised worker
-*processes* (:class:`~repro.queries.procpool.ProcessShardPool`,
-tuned by :class:`ProcPoolConfig`) so maintenance escapes the GIL —
-both bit-identical to serial.  :class:`MonitorServer` serves the
-delta stream to asyncio subscribers.
+``workers=1`` runs the shards serially in-process; ``workers=N > 1``
+moves them into N supervised worker *processes*
+(:class:`~repro.queries.procpool.ProcessShardPool`, tuned by
+:class:`ProcPoolConfig`), bit-identical to serial.
+:class:`MonitorServer` serves the delta stream to asyncio subscribers.
 
 All standing registration funnels through one spec-based
 ``register(spec)`` path per surface; prefer the :mod:`repro.api`

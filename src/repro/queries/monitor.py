@@ -72,7 +72,6 @@ maintenance.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, fields
 
 from repro.api.specs import QuerySpec, standing_spec
@@ -242,11 +241,6 @@ class QueryMonitor:
         #: dynamic-reach maintainer (an ikNNQ whose ``tau`` moved).
         #: The sharded router caches its reach tables against this.
         self.reach_epoch = 0
-        # Serialises the maintenance-only ingest hooks: the parallel
-        # sharded front-end runs different shards' hooks on pool
-        # threads, and this lock is what makes one *shard* safe even if
-        # a caller ever routes two batches into it concurrently.
-        self._ingest_lock = threading.Lock()
         # Pre-mutation copies of the results actually touched in the
         # current mutation scope (lazy: an untouched query costs
         # nothing), consumed by _collect().
@@ -275,23 +269,19 @@ class QueryMonitor:
         return query_id
 
     def _register(self, sq: StandingQuery) -> None:
-        # Under the ingest lock: a registration from the event-loop
-        # thread must not mutate _queries/_pending while an offloaded
-        # parallel batch iterates them on a pool thread.
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            # Execute first, commit after: a failing first execution
-            # (query point outside every partition, say) must not leave
-            # a broken standing query — or its session pin — behind.
-            try:
-                sq.recompute()  # touches sq with its pre-result ({})
-            except Exception:
-                self._before.pop(sq.query_id, None)
-                raise
-            self._queries[sq.query_id] = sq
-            self.session.pin(sq.q)
-            self.reach_epoch += 1
-            self._pending.extend(self._collect("register"))
+        self._ensure_topology_current()
+        # Execute first, commit after: a failing first execution
+        # (query point outside every partition, say) must not leave
+        # a broken standing query — or its session pin — behind.
+        try:
+            sq.recompute()  # touches sq with its pre-result ({})
+        except Exception:
+            self._before.pop(sq.query_id, None)
+            raise
+        self._queries[sq.query_id] = sq
+        self.session.pin(sq.q)
+        self.reach_epoch += 1
+        self._pending.extend(self._collect("register"))
 
     def restore_query(
         self, spec: QuerySpec, query_id: str, state
@@ -306,15 +296,12 @@ class QueryMonitor:
         identical subsequent updates); the caller owns restoring
         ``reach_epoch`` itself."""
         spec = standing_spec(spec)
-        with self._ingest_lock:
-            if query_id in self._queries:
-                raise QueryError(
-                    f"standing query id {query_id!r} already used"
-                )
-            sq = maintainer_for(spec, query_id, self)
-            sq.restore(state)
-            self._queries[query_id] = sq
-            self.session.pin(sq.q)
+        if query_id in self._queries:
+            raise QueryError(f"standing query id {query_id!r} already used")
+        sq = maintainer_for(spec, query_id, self)
+        sq.restore(state)
+        self._queries[query_id] = sq
+        self.session.pin(sq.q)
 
     def deregister(self, query_id: str) -> None:
         """Remove a standing query.
@@ -326,21 +313,20 @@ class QueryMonitor:
         Pins are counted on the (possibly shared) session itself, so
         monitors sharing one session never evict each other's searches.
         """
-        with self._ingest_lock:
-            sq = self._queries.pop(query_id, None)
-            if sq is None:
-                raise QueryError(f"unknown standing query {query_id!r}")
-            self._before.pop(query_id, None)
-            self.reach_epoch += 1
-            if sq.result:
-                self._push_pending(
-                    ResultDelta(
-                        query_id,
-                        "deregister",
-                        left=tuple(sorted(sq.result)),
-                    )
+        sq = self._queries.pop(query_id, None)
+        if sq is None:
+            raise QueryError(f"unknown standing query {query_id!r}")
+        self._before.pop(query_id, None)
+        self.reach_epoch += 1
+        if sq.result:
+            self._push_pending(
+                ResultDelta(
+                    query_id,
+                    "deregister",
+                    left=tuple(sorted(sq.result)),
                 )
-            self.session.unpin(sq.q)
+            )
+        self.session.unpin(sq.q)
 
     def _claim_id(self, query_id: str | None, kind: str) -> str:
         return claim_query_id(
@@ -375,12 +361,11 @@ class QueryMonitor:
         registration order — the order matters: the checkpoint restores
         queries in this order so delta *emission* order (dict iteration
         over ``_queries``) survives the round trip."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            return [
-                (qid, sq.spec(), sq.snapshot())
-                for qid, sq in self._queries.items()
-            ]
+        self._ensure_topology_current()
+        return [
+            (qid, sq.spec(), sq.snapshot())
+            for qid, sq in self._queries.items()
+        ]
 
     def results(self) -> dict[str, set[str]]:
         """Every standing query's current result ids."""
@@ -404,12 +389,11 @@ class QueryMonitor:
         distance beyond which an object provably cannot change the
         result right now (iRQ/iPRQ radius / current ikNNQ ``tau``).
         The shard router turns these into conservative skip decisions."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            return [
-                (qid, sq.q, sq.influence_radius())
-                for qid, sq in self._queries.items()
-            ]
+        self._ensure_topology_current()
+        return [
+            (qid, sq.q, sq.influence_radius())
+            for qid, sq in self._queries.items()
+        ]
 
     def influence_radii_by_floor(
         self,
@@ -418,14 +402,13 @@ class QueryMonitor:
         the shape the sharded router's per-floor reach table consumes
         (queries on one floor share their z elevation, so their reaches
         bucket into tight same-floor boxes)."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            out: dict[int, list[tuple[str, Point, float]]] = {}
-            for qid, sq in self._queries.items():
-                out.setdefault(sq.q.floor, []).append(
-                    (qid, sq.q, sq.influence_radius())
-                )
-            return out
+        self._ensure_topology_current()
+        out: dict[int, list[tuple[str, Point, float]]] = {}
+        for qid, sq in self._queries.items():
+            out.setdefault(sq.q.floor, []).append(
+                (qid, sq.q, sq.influence_radius())
+            )
+        return out
 
     def __len__(self) -> int:
         return len(self._queries)
@@ -488,8 +471,7 @@ class QueryMonitor:
         self, moved: list[UncertainObject], block=None
     ) -> DeltaBatch:
         """Maintain standing results for objects the *shared* index
-        already moved (no index mutation here).  Thread-safe: shards run
-        their hooks concurrently under the parallel front-end.
+        already moved (no index mutation here).
 
         ``block`` is an optional pre-packed
         :class:`~repro.distances.batch.ObjectBlock` covering exactly
@@ -497,23 +479,21 @@ class QueryMonitor:
         each shard its routed subset); without it the monitor packs the
         batch itself.
         """
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            self._absorb_block(moved, block)
-            return DeltaBatch(
-                deltas=self._drain_pending() + self._collect("move"),
-                moved=tuple(moved),
-            )
+        self._ensure_topology_current()
+        self._absorb_block(moved, block)
+        return DeltaBatch(
+            deltas=self._drain_pending() + self._collect("move"),
+            moved=tuple(moved),
+        )
 
     def ingest_insert(self, obj: UncertainObject) -> DeltaBatch:
         """Maintain standing results for an already-inserted object:
         the same absorb path as a move, over a one-object block."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            self._absorb_block([obj], None)
-            return DeltaBatch(
-                deltas=self._drain_pending() + self._collect("insert")
-            )
+        self._ensure_topology_current()
+        self._absorb_block([obj], None)
+        return DeltaBatch(
+            deltas=self._drain_pending() + self._collect("insert")
+        )
 
     def ingest_delete(
         self, object_id: str, deleted: UncertainObject | None = None
@@ -527,26 +507,24 @@ class QueryMonitor:
         members is no evaluated pair, so the pair counters (and the
         recompute-ratio columns derived from them) measure real work.
         """
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            self.stats.updates_seen += 1
-            for sq in self._queries.values():
-                if not sq.holds(object_id):
-                    continue
-                self.stats.pairs_evaluated += 1
-                sq.on_delete(object_id)
-            return DeltaBatch(
-                deltas=self._drain_pending() + self._collect("delete"),
-                deleted=deleted,
-            )
+        self._ensure_topology_current()
+        self.stats.updates_seen += 1
+        for sq in self._queries.values():
+            if not sq.holds(object_id):
+                continue
+            self.stats.pairs_evaluated += 1
+            sq.on_delete(object_id)
+        return DeltaBatch(
+            deltas=self._drain_pending() + self._collect("delete"),
+            deleted=deleted,
+        )
 
     def drain_pending_deltas(self) -> DeltaBatch:
         """Collect deltas parked by out-of-band work: registrations,
         deregistrations, and topology resyncs triggered by result
         access instead of a mutation call."""
-        with self._ingest_lock:
-            self._ensure_topology_current()
-            return DeltaBatch(deltas=self._drain_pending())
+        self._ensure_topology_current()
+        return DeltaBatch(deltas=self._drain_pending())
 
     def peek_pending_deltas(self) -> tuple[ResultDelta, ...]:
         """The parked deltas, *without* draining them.  The process
@@ -554,8 +532,7 @@ class QueryMonitor:
         crashed worker's replacement can re-park them
         (:meth:`park_deltas`) — a register delta parked between batches
         must survive the restart or the delta stream loses it."""
-        with self._ingest_lock:
-            return tuple(self._pending)
+        return tuple(self._pending)
 
     def park_deltas(self, deltas) -> None:
         """Append already-emitted deltas to the pending list, to flow
@@ -565,8 +542,7 @@ class QueryMonitor:
         deltas were counted when first emitted, so this does not touch
         ``stats.deltas_emitted``.
         """
-        with self._ingest_lock:
-            self._pending.extend(deltas)
+        self._pending.extend(deltas)
 
     # ------------------------------------------------------------------
     # delta bookkeeping
@@ -584,7 +560,7 @@ class QueryMonitor:
         against its recorded pre-state, in query *registration* order —
         not first-touch order, which depends on how an engine happens
         to iterate pairs.  One emission order for every engine keeps
-        delta histories bit-comparable across backends.  A result change of
+        delta histories bit-comparable across engines.  A result change of
         a dynamic-reach maintainer bumps :attr:`reach_epoch` (its
         influence radius may have moved with the result)."""
         if not self._before:

@@ -1,9 +1,10 @@
-"""Process-based shard execution: the ``backend="process"`` engine of
-:class:`~repro.queries.shard.ShardedMonitor`.
+"""Process-based shard execution: the engine of a
+:class:`~repro.queries.shard.ShardedMonitor` built with ``workers > 1``.
 
-Thread workers measured flat (0.94-0.99x) because the GIL serialises
-pair maintenance; this module moves the shard monitors into **worker
-processes** so routed maintenance runs on real cores.  The parent
+This module moves the shard monitors into **worker processes** so
+routed maintenance runs on several cores at once (in-process shards
+run serially: the GIL serialises pair maintenance, so a thread pool
+never beat the serial loop).  The parent
 keeps the authoritative :class:`~repro.index.composite.CompositeIndex`
 (registration claims, one-shot queries, routing, checkpoints all stay
 parent-side); each worker process owns a disjoint subset of the shard
@@ -531,8 +532,8 @@ class _ShardProxy:
     from a shard — registration, result access, reach inputs, stats —
     against mirrors refreshed from every worker response, and forwards
     the mutating calls as pool requests.  Mirror reads never touch the
-    pipe, so routing and checkpointing stay as cheap as the in-process
-    backend.
+    pipe, so routing and checkpointing stay as cheap as with in-process
+    shards.
     """
 
     def __init__(self, pool: "ProcessShardPool", shard: int) -> None:
@@ -677,8 +678,8 @@ class ProcessShardPool:
     position table, and the request fan-out: :meth:`execute` broadcasts
     one mutation + routing plan to every worker concurrently and
     reassembles the per-shard delta batches in shard-index order — the
-    serial merge order, so results are bit-identical to the in-process
-    backends.  ``restarts`` counts recoveries performed so far.
+    serial merge order, so results are bit-identical to in-process
+    shards.  ``restarts`` counts recoveries performed so far.
     """
 
     def __init__(
@@ -897,7 +898,7 @@ class ProcessShardPool:
                 self._note_death(w, exc)
 
     # ------------------------------------------------------------------
-    # the ShardedMonitor execution backend
+    # the ShardedMonitor execution engine
     # ------------------------------------------------------------------
 
     def execute(

@@ -10,18 +10,16 @@ queues of its :class:`Subscription`\\ s, so consumers ``async for``
 over result *changes* instead of polling result sets.
 
 Single-writer by design: all index mutation happens through the
-server's ``apply_*`` coroutines (or :meth:`serve`).  A serial monitor's
-call runs to completion inline and then yields to the loop; a parallel
-:class:`~repro.queries.shard.ShardedMonitor` (``workers > 1``) is
-offloaded to the loop's default executor instead, so the event loop
-keeps draining subscribers while the shard pool grinds through the
-batch.  Subscribers are decoupled through per-query queues — unbounded
-by default (a slow consumer delays only itself), or bounded with
-``maxlen`` under a drop-oldest overflow policy
-(:attr:`Subscription.dropped` counts the losses; a feed that dropped
-deltas no longer replays exactly and should be re-primed with a fresh
-snapshot).  :attr:`Subscription.pending` exposes the backlog either
-way.
+server's ``apply_*`` coroutines (or :meth:`serve`).  Each call runs to
+completion inline on the event-loop thread and then yields to the
+loop, so registrations and subscriptions issued on the loop can never
+interleave with a batch in flight.  Subscribers are decoupled through
+per-query queues — unbounded by default (a slow consumer delays only
+itself), or bounded with ``maxlen`` under a drop-oldest overflow
+policy (:attr:`Subscription.dropped` counts the losses; a feed that
+dropped deltas no longer replays exactly and should be re-primed with
+a fresh snapshot).  :attr:`Subscription.pending` exposes the backlog
+either way.
 """
 
 from __future__ import annotations
@@ -197,10 +195,6 @@ class MonitorServer:
     """
 
     monitor: QueryMonitor | ShardedMonitor
-    #: ``None`` (default) auto-detects: offload mutations to the loop's
-    #: default executor when the monitor runs parallel (``workers>1``).
-    #: ``True``/``False`` force either behaviour.
-    offload: bool | None = None
     #: Called with every batch handed to :meth:`publish` (after fan-out)
     #: — the tap :class:`repro.api.service.QueryService` uses to mirror
     #: published deltas onto attached JSONL wire feeds.
@@ -224,17 +218,15 @@ class MonitorServer:
     deltas_dropped: int = 0
     _subs: dict[str, list[Subscription]] = field(default_factory=dict)
     _closed: bool = False
-    # Restores the single-writer guarantee under offload: an inline
-    # op() could never interleave with another mutation (no await
-    # point), but an offloaded one yields the loop mid-mutation — the
-    # lock keeps concurrent apply_* callers serialized, publishes
-    # included, in acquisition order.
+    # Keeps concurrent apply_* callers in acquisition order, publishes
+    # included, should a mutation ever await mid-way.
     _mutex: asyncio.Lock = field(default_factory=asyncio.Lock)
-    # Thread-level writer lock around the monitor mutation itself:
-    # offloaded ops run on executor threads, and the QueryService
-    # façade's *synchronous* mutation path takes this same lock, so a
-    # sync ingest can never interleave with an in-flight offloaded
-    # batch (see QueryService._publish).
+    # Monitors take no lock of their own: a QueryMonitor is
+    # entered only from the event-loop thread or under this lock.
+    # Mutations take it on the loop, and so do the QueryService
+    # facade's synchronous mutation and checkpoint paths (see
+    # QueryService._publish), so a caller's thread never interleaves
+    # with a batch in flight.
     _op_lock: threading.Lock = field(default_factory=threading.Lock)
 
     # ------------------------------------------------------------------
@@ -389,38 +381,15 @@ class MonitorServer:
     ) -> DeltaBatch:
         if self._closed:
             raise QueryError("server is closed")
-
-        def locked_op() -> DeltaBatch:
+        async with self._mutex:
             with self._op_lock:
                 batch = op()
                 if mutation is not None and self.on_mutation is not None:
                     self.on_mutation(*mutation)
-                return batch
-
-        async with self._mutex:
-            if self._offloads():
-                # A parallel sharded monitor grinds on its own thread
-                # pool; hop off the loop so subscribers keep draining
-                # meanwhile.  Publishing still happens on the loop
-                # thread (asyncio queues are not thread-safe),
-                # preserving delta order.
-                batch = await asyncio.get_running_loop().run_in_executor(
-                    None, locked_op
-                )
-            else:
-                batch = locked_op()
             self.publish(batch)
         # Yield so subscribers drain between mutations.
         await asyncio.sleep(0)
         return batch
-
-    def _offloads(self) -> bool:
-        """Whether mutations leave the event loop: only worthwhile when
-        the monitor itself fans out on a pool (``workers > 1``) — for a
-        serial monitor the thread hop costs more than it frees."""
-        if self.offload is not None:
-            return self.offload
-        return getattr(self.monitor, "workers", 1) > 1
 
     async def serve(
         self,

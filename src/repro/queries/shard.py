@@ -65,37 +65,29 @@ index population and therefore sees filtered objects anyway.
 Parallel execution
 ------------------
 
-Shards are provably independent once routed: each ``ingest_*`` call
-touches only its own monitor's standing results, and the one shared
-mutable structure — the session's Dijkstra cache — takes its own lock.
-``ShardedMonitor(..., workers=N)`` therefore runs the routed per-shard
-maintenance on a :class:`~concurrent.futures.ThreadPoolExecutor`
-(pair maintenance is numpy-heavy, so threads help wherever numpy drops
-the GIL), gathering per-shard :class:`~repro.queries.deltas.DeltaBatch`
-results **in shard-index order** — the same order the serial loop
-merges in — so the merged batch is bit-identical to serial execution.
-
-``backend="process"`` swaps the thread pool for the
-:mod:`repro.queries.procpool` engine: shard monitors live in worker
-*processes* over per-worker world replicas, routed updates travel as
-messages (instance coordinates through a shared-memory numpy table),
-and per-shard deltas come back as wire records, still merged in
-shard-index order — bit-identical to serial, but with real multi-core
-parallelism where the GIL caps thread workers at ~1x.  Every mutation
-path below first computes a **routing plan** (one action per shard:
-ingest this payload, or just drain parked deltas) and then hands the
-plan to the selected execution backend, so the routing decisions are
-provably shared across serial, thread, and process execution.
+``workers`` alone selects the execution engine.  ``workers=1`` runs
+every shard as an in-process :class:`QueryMonitor`, one after another
+on the caller's thread.  ``workers > 1`` moves the shard monitors into
+that many supervised worker *processes*
+(:mod:`repro.queries.procpool`): each worker holds a world replica,
+routed updates travel as messages (instance coordinates through a
+shared-memory numpy table), and per-shard deltas come back as wire
+records.  Both engines return the per-shard
+:class:`~repro.queries.deltas.DeltaBatch` results **in shard-index
+order** and merge them in that order, so a process-backed monitor is
+bit-identical to the serial one.  Every mutation path below first
+computes a **routing plan** (one action per shard: ingest this
+payload, or just drain parked deltas) and then runs it on the selected
+engine, so both engines share every routing decision.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -394,22 +386,22 @@ class ShardedMonitor:
     queries (one kiosk's iRQ and ikNNQ) tend to share both a shard and
     a session-cached Dijkstra.
 
-    ``backend`` selects how routed per-shard maintenance executes:
+    ``workers`` selects how routed per-shard maintenance executes:
 
-    * ``"thread"`` (default) — shard monitors are in-process
-      :class:`QueryMonitor` instances; ``workers > 1`` fans the routed
-      work out on a thread pool, merged in shard-index order,
-      bit-identical to serial.
-    * ``"process"`` — shard monitors live in worker processes behind
-      parent-side proxies (see :mod:`repro.queries.procpool`); routed
+    * ``workers=1`` (default) — shard monitors are in-process
+      :class:`QueryMonitor` instances, run serially in shard-index
+      order.
+    * ``workers > 1`` — shard monitors live in that many worker
+      processes behind parent-side proxies (see
+      :mod:`repro.queries.procpool`, tuned by ``proc_config``); routed
       work travels as messages and comes back as wire-encoded delta
-      batches, merged in the same shard-index order, still
-      bit-identical to serial.
+      batches, merged in the same shard-index order, bit-identical to
+      serial.
 
-    Every backend absorbs updates through the batched bounds kernel:
-    the in-process backends pack each routed batch once and hand every
-    visited shard its routed view of the block; process workers pack
-    their routed subsets locally.
+    Both engines absorb updates through the batched bounds kernel: the
+    serial engine packs each routed batch once and hands every visited
+    shard its routed view of the block; process workers pack their
+    routed subsets locally.
     """
 
     def __init__(
@@ -418,21 +410,17 @@ class ShardedMonitor:
         n_shards: int = 4,
         session: QuerySession | None = None,
         workers: int = 1,
-        backend: str = "thread",
         proc_config: "ProcPoolConfig | None" = None,
     ) -> None:
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if backend not in ("thread", "process"):
-            raise QueryError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
+        if proc_config is not None and workers == 1:
+            raise QueryError("proc_config is only meaningful with workers > 1")
         self.index = index
         self.session = session or QuerySession(index)
         self.workers = workers
-        self.backend = backend
         self.routing = ShardStats()
         # Per-shard reach-table cache: (reach_epoch, topology_version,
         # reach) as of the last build; reused while neither moved.
@@ -443,9 +431,8 @@ class ShardedMonitor:
         self._id_counter = itertools.count(1)
         self._updates_seen = 0
         self._bounds: Rect = index.space.bounds()
-        self._executor: ThreadPoolExecutor | None = None
         self._pool = None
-        if backend == "process":
+        if workers > 1:
             # Imported lazily: procpool pulls in the wire codec, which
             # lives above this module in the layering.
             from repro.queries.procpool import ProcessShardPool
@@ -458,30 +445,18 @@ class ShardedMonitor:
             )
             self.shards = self._pool.proxies
         else:
-            if proc_config is not None:
-                raise QueryError(
-                    "proc_config is only meaningful with backend='process'"
-                )
             self.shards = [
                 QueryMonitor(index, session=self.session)
                 for _ in range(n_shards)
             ]
-            if workers > 1:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="shard"
-                )
 
     # ------------------------------------------------------------------
     # lifecycle (the worker pool is the only owned resource)
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; serial mode no-ops).
-        A thread-backed monitor stays usable — it falls back to serial;
-        a process-backed monitor is unusable after close."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Shut the worker processes down (idempotent; serial shards
+        no-op).  A process-backed monitor is unusable after close."""
         if self._pool is not None:
             self._pool.close()
 
@@ -623,13 +598,13 @@ class ShardedMonitor:
         return merged
 
     # ------------------------------------------------------------------
-    # routed mutation paths: build a plan, hand it to the backend
+    # routed mutation paths: build a plan, hand it to the engine
     # ------------------------------------------------------------------
 
     def apply_moves(self, moves: list[ObjectMove]) -> DeltaBatch:
         """Absorb a batch of position updates: one shared index update,
         then per-shard maintenance of only the updates that can affect
-        each shard (fanned out on the selected worker backend)."""
+        each shard (run serially or on the worker processes)."""
         fh = self.index.space.floor_height
         old_boxes = {
             oid: _object_box(self.index.population.get(oid), fh)
@@ -680,7 +655,7 @@ class ShardedMonitor:
             # Pack the whole batch's subregion stats ONCE and hand each
             # visited shard its routed view — the per-object packing
             # work is shared across shards instead of repeated inside
-            # each shard monitor.  The process backend skips this: ids
+            # each shard monitor.  The process engine skips this: ids
             # travel the wire and each worker packs its own routed
             # subset locally (the block holds numpy arrays, not wire
             # records).
@@ -772,7 +747,7 @@ class ShardedMonitor:
         )
 
     # ------------------------------------------------------------------
-    # backend execution
+    # plan execution
     # ------------------------------------------------------------------
 
     def _drain_plan(self) -> list[tuple[str, object]]:
@@ -783,67 +758,35 @@ class ShardedMonitor:
         mutation: tuple[str, object],
         plan: list[tuple[str, object]],
     ) -> list[DeltaBatch]:
-        """Run one routing plan on the selected backend, returning the
-        per-shard delta batches in shard-index order (the merge order,
-        every backend alike).
+        """Run one routing plan, returning the per-shard delta batches
+        in shard-index order (the merge order, both engines alike).
 
         ``mutation`` names the index-level change the plan belongs to —
         worker processes replay it against their world replicas before
-        ingesting their routed share; the in-process backends mutated
-        the shared index already and only consume the plan.
+        ingesting their routed share; in-process shards see the shared
+        index, which is already mutated, and only consume the plan.
         """
         if self._pool is not None:
             return self._pool.execute(mutation, plan)
-        return self._run_tasks(
-            [
-                self._shard_task(shard, action, payload)
-                for shard, (action, payload) in zip(self.shards, plan)
-            ]
-        )
-
-    def _run_tasks(
-        self, tasks: list[Callable[[], DeltaBatch]]
-    ) -> list[DeltaBatch]:
-        """Execute one thunk per shard, returning results in shard
-        order.  Routing already proved the thunks touch disjoint
-        monitors; the shared session takes its own lock."""
-        if self._executor is None or len(tasks) <= 1:
-            return [task() for task in tasks]
-        futures = [self._executor.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def _shard_task(
-        self, shard: QueryMonitor, action: str, payload
-    ) -> Callable[[], DeltaBatch]:
-        """One plan entry as a thunk over an in-process shard monitor."""
-        if action == "drain":
-            return shard.drain_pending_deltas
-        if action == "moves":
-
-            def run_moves() -> DeltaBatch:
+        batches: list[DeltaBatch] = []
+        for shard, (action, payload) in zip(self.shards, plan):
+            if action == "drain":
+                batches.append(shard.drain_pending_deltas())
+            elif action == "moves":
                 # Keep only the deltas: `moved` is already carried once
                 # at the top level (shards each re-list their routed
                 # subset).  The payload carries the pre-packed block
                 # view alongside the objects.
                 relevant, subblock = payload
-                return DeltaBatch(
-                    deltas=shard.ingest_moves(relevant, block=subblock).deltas
-                )
-
-            return run_moves
-        if action == "insert":
-
-            def run_insert() -> DeltaBatch:
-                return shard.ingest_insert(payload)
-
-            return run_insert
-        if action == "delete":
-
-            def run_delete() -> DeltaBatch:
-                return shard.ingest_delete(payload)
-
-            return run_delete
-        raise QueryError(f"unknown shard action {action!r}")
+                batch = shard.ingest_moves(relevant, block=subblock)
+                batches.append(DeltaBatch(deltas=batch.deltas))
+            elif action == "insert":
+                batches.append(shard.ingest_insert(payload))
+            elif action == "delete":
+                batches.append(shard.ingest_delete(payload))
+            else:
+                raise QueryError(f"unknown shard action {action!r}")
+        return batches
 
     # ------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ converges after it.
 """
 
 import signal
+import threading
 import time
 
 import pytest
@@ -25,9 +26,17 @@ from repro.api.testing import FlakyTransportFactory
 from repro.errors import NetError
 from repro.geometry import Circle, Point
 from repro.index import CompositeIndex
-from repro.objects import InstanceSet, ObjectPopulation, UncertainObject
+from repro.objects import (
+    InstanceSet,
+    MovementStream,
+    ObjectGenerator,
+    ObjectPopulation,
+    UncertainObject,
+)
 from repro.objects.population import ObjectMove
 from repro.persist import CheckpointStore
+from repro.queries import QueryMonitor
+from repro.space.mall import build_mall
 
 
 def _point_object(object_id: str, x: float, y: float, floor: int = 0):
@@ -330,3 +339,90 @@ class TestDurabilityLifecycle:
         st2.close()
         service.close()
         st2.service.close()
+
+
+class TestWatchDuringServedIngest:
+    """A watch issued on a served process-backed service while an
+    ingest is in flight.  Every monitor call must reach the engine one
+    at a time: the watch may land before or after the batch, never
+    inside it, and the WAL must record the order it was applied in."""
+
+    def test_watch_mid_batch_matches_from_scratch(self, tmp_path):
+        space = build_mall(
+            floors=2, bands=2, rooms_per_band_side=2, floor_size=100.0,
+            hallway_width=4.0, stair_size=10.0, seed=5,
+        )
+        gen = ObjectGenerator(space, radius=3.0, n_instances=6, seed=5)
+        pop = gen.generate(60)
+        stream = MovementStream(space, pop, gen, seed=5)
+        service = QueryService(
+            CompositeIndex.build(space, pop),
+            ServiceConfig(n_shards=4, workers=2),
+        )
+        pool = service.monitor._pool
+        specs = [KNNSpec(space.random_point(seed=s), 4) for s in range(4)]
+        late_spec = RangeSpec(space.random_point(seed=9), 40.0)
+
+        # Hold the next batch inside the pool's request round: its
+        # requests are out, no reply is read yet.  The hold ends when
+        # the watch's register request reaches a worker, or after a
+        # grace period if the watch cannot start until the batch ends.
+        armed = threading.Event()
+        in_batch = threading.Event()
+        register_sent = threading.Event()
+        send, await_reply = pool._send, pool._await
+
+        def traced_send(w, payload):
+            send(w, payload)
+            if payload.get("op") == "register":
+                register_sent.set()
+
+        def held_await(w):
+            if armed.is_set() and not in_batch.is_set():
+                in_batch.set()
+                register_sent.wait(timeout=0.25)
+            return await_reply(w)
+
+        pool._send, pool._await = traced_send, held_await
+        store = CheckpointStore(tmp_path)
+        errors: list[BaseException] = []
+        st = ServerThread(service, store=store).__enter__()
+        try:
+            ids = [st.watch(spec) for spec in specs]
+            st.ingest(list(stream.next_moves(20)))
+            moves = list(stream.next_moves(20))
+
+            def ingest() -> None:
+                try:
+                    st.ingest(moves)
+                except BaseException as exc:  # surfaced below
+                    errors.append(exc)
+
+            armed.set()
+            worker = threading.Thread(target=ingest)
+            worker.start()
+            assert in_batch.wait(timeout=10)
+            late = st.watch(late_spec)  # issued while the batch is held
+            worker.join(timeout=60)
+            assert not errors, errors
+            for _ in range(3):
+                st.ingest(list(stream.next_moves(20)))
+        finally:
+            st.kill()  # no final checkpoint: recovery replays the WAL
+        watched = dict(zip(ids, specs))
+        watched[late] = late_spec
+        fresh = QueryMonitor(service.index)
+        want = {
+            qid: fresh.result_distances(fresh.register(spec))
+            for qid, spec in watched.items()
+        }
+        recovered, report = store.recover()
+        try:
+            assert report.wal_records > 0
+            for qid in watched:
+                assert service.result_distances(qid) == want[qid]
+                assert recovered.result_distances(qid) == want[qid]
+        finally:
+            service.close()
+            recovered.close()
+            store.close()

@@ -181,14 +181,14 @@ class TestServiceRoundTrip:
         "config",
         [
             ServiceConfig(),
+            ServiceConfig(n_shards=4),
             ServiceConfig(n_shards=4, workers=2),
-            ServiceConfig(n_shards=4, workers=2, backend="process"),
         ],
-        ids=["single", "sharded-parallel", "sharded-process"],
+        ids=["single", "sharded", "sharded-process"],
     )
     def test_restore_is_bit_identical(self, tmp_path, config):
         """Same results, same subsequent delta sequences, same auto-id
-        allocation — for single and sharded (parallel) engines, across
+        allocation — for single, sharded and process engines, across
         all three builtin maintainers plus the count watch."""
         space, stream, index = _mall_world()
         service = QueryService(index, config)
@@ -254,22 +254,35 @@ class TestServiceRoundTrip:
         service.close()
         restored.close()
 
-    @pytest.mark.parametrize("n_shards", [1, 4])
+    @pytest.mark.parametrize(
+        "n_shards, workers, retired",
+        [
+            (1, 1, {}),
+            (4, 1, {}),
+            # A thread-backed engine ran in-process: workers=1 now.
+            (4, 1, {"backend": "thread", "workers": 2}),
+            (4, 2, {"backend": "process", "workers": 2}),
+        ],
+        ids=["1", "4", "thread-2", "process-2"],
+    )
     def test_checkpoint_with_retired_knobs_recovers(
-        self, tmp_path, n_shards
+        self, tmp_path, n_shards, workers, retired
     ):
         """A checkpoint written while the config still carried
-        ``kernel="scalar"`` and ``bucketed_router=False`` recovers to
-        the live results and the live service's later deltas."""
+        ``kernel="scalar"``, ``bucketed_router=False`` and a
+        ``backend`` recovers to the live results and the live
+        service's later deltas."""
         space, stream, index = _mall_world()
-        service = QueryService(index, ServiceConfig(n_shards=n_shards))
+        service = QueryService(
+            index, ServiceConfig(n_shards=n_shards, workers=workers)
+        )
         ids = [service.watch(s) for s in _mall_specs(space)]
         for _ in range(4):
             service.ingest(list(stream.next_moves(10)))
         path = tmp_path / "ckpt.jsonl"
         service.checkpoint(path)
         state = read_checkpoint(path)
-        state.config.update(kernel="scalar", bucketed_router=False)
+        state.config.update(kernel="scalar", bucketed_router=False, **retired)
         old = tmp_path / "old.jsonl"
         write_checkpoint(old, state)
         restored = QueryService.restore(old)

@@ -237,12 +237,21 @@ class TestServiceConfig:
         assert service.routing is None
 
     def test_sharded_engine_selected(self, five_rooms_index):
-        config = ServiceConfig(n_shards=3, workers=2)
+        config = ServiceConfig(n_shards=3)
         with QueryService(five_rooms_index, config) as service:
             assert isinstance(service.monitor, ShardedMonitor)
             assert service.monitor.n_shards == 3
-            assert service.monitor.workers == 2
+            assert service.monitor.workers == 1
             assert service.routing is not None
+
+    def test_workers_select_the_process_engine(self, five_rooms_index):
+        """workers > 1 alone shards the engine (even at n_shards=1) and
+        runs it in worker processes."""
+        config = ServiceConfig(workers=2)
+        with QueryService(five_rooms_index, config) as service:
+            assert isinstance(service.monitor, ShardedMonitor)
+            assert service.monitor.n_shards == 1
+            assert service.monitor._pool is not None
 
     def test_invalid_config_rejected(self):
         with pytest.raises(QueryError):

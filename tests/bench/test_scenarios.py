@@ -153,9 +153,11 @@ class TestCellRunners:
         assert result["timing"]["min_s"] <= result["timing"]["mean_s"]
 
     def test_serving_cell(self, tmp_path):
+        """The worker-scaling grid's cell: the stream runner with
+        shards in worker processes."""
         result = _run_one(
-            tmp_path, "serving",
-            {"workers": 2, "backend": "thread", "n_shards": 2,
+            tmp_path, "stream",
+            {"workers": 2, "shards": 2, "n_irq": 4, "n_iknn": 2,
              "batches": 2, "batch_size": 5},
         )
         assert result["updates"] == 10

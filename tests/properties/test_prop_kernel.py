@@ -251,9 +251,7 @@ class TestEngineIdentity:
         worlds = [build_world(seed, n_objects=20) for _ in range(2)]
         space = worlds[0][0]
         serial = ShardedMonitor(worlds[0][3], n_shards=4)
-        process = ShardedMonitor(
-            worlds[1][3], n_shards=4, backend="process", workers=2
-        )
+        process = ShardedMonitor(worlds[1][3], n_shards=4, workers=2)
         try:
             qids = _register_all(serial, space, seed)
             assert _register_all(process, space, seed) == qids

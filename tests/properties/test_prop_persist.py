@@ -12,7 +12,7 @@ death — and :meth:`CheckpointStore.recover` must rebuild a service
 that (a) matches the uninterrupted twin on every maintained result,
 (b) emits the *same deltas* for every subsequent batch, and (c) agrees
 with from-scratch one-shot execution.  Both engine shapes are covered:
-single and sharded with a worker pool.
+single and sharded.
 """
 
 import random
@@ -68,8 +68,8 @@ def _random_specs(space, rng):
 class TestCrashRecoveryProperty:
     @pytest.mark.parametrize(
         "config",
-        [ServiceConfig(), ServiceConfig(n_shards=3, workers=2)],
-        ids=["single", "sharded-parallel"],
+        [ServiceConfig(), ServiceConfig(n_shards=3)],
+        ids=["single", "sharded"],
     )
     @given(seed=st.integers(0, 10_000))
     @settings(

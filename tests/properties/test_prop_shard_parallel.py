@@ -2,8 +2,8 @@
 
 Over fully randomized scenarios (floorplan, standing queries, movement
 stream, interleaved inserts and deletes), a ``ShardedMonitor`` running
-its routed shard maintenance on a thread pool (``workers > 1``) must be
-indistinguishable from the serial plumbing it replaces:
+its routed shard maintenance in worker processes (``workers > 1``)
+must be indistinguishable from the serial plumbing it replaces:
 
 * **Equivalence** — its results match a single ``QueryMonitor`` driven
   with the same mutation sequence over a twin world, after every batch;
@@ -14,11 +14,10 @@ indistinguishable from the serial plumbing it replaces:
 * **Bit-identity** — a serial ``ShardedMonitor`` twin emits the exact
   same delta sequence, batch for batch.
 
-The same contract binds the ``backend="process"`` engine: shard
-maintenance in supervised worker processes, exchanging deltas as wire
-records, must replay and match the serial twin batch for batch — even
-while a fault injector SIGKILLs a worker between (and mid-) batches,
-forcing crash-restarts from the parent-side mirrors.
+The contract holds under faults too: the process engine must replay
+and match the serial twin batch for batch even while a fault injector
+SIGKILLs a worker between (and mid-) batches, forcing crash-restarts
+from the parent-side mirrors.
 """
 
 import random
@@ -71,7 +70,7 @@ def test_concurrent_ingest_replays_and_matches_serial(seed):
     _space3, _gen3, _pop3, index3 = build_world(seed, n_objects=25)
     monitor = QueryMonitor(index)
     serial = ShardedMonitor(index2, n_shards=4)
-    parallel = ShardedMonitor(index3, n_shards=4, workers=3)
+    parallel = ShardedMonitor(index3, n_shards=4, workers=2)
     rng = random.Random(seed ^ 0x9A7C)
     irqs, knns = register_random_queries(monitor, space, rng)
     probs = register_random_prob_queries(monitor, space, rng)
@@ -143,7 +142,6 @@ def test_process_backend_replays_and_matches_serial(seed):
         index,
         n_shards=4,
         workers=2,
-        backend="process",
         proc_config=ProcPoolConfig(max_restarts=100),
     )
     rng = random.Random(seed ^ 0x9A7C)

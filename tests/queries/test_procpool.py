@@ -69,7 +69,6 @@ def twin_monitors():
         _build_index(),
         n_shards=2,
         workers=2,
-        backend="process",
         proc_config=ProcPoolConfig(max_restarts=50, table_rows=2),
     )
     for monitor in (serial, procs):
@@ -204,7 +203,6 @@ class TestCrashRecovery:
             _build_index(),
             n_shards=2,
             workers=2,
-            backend="process",
             proc_config=ProcPoolConfig(max_restarts=0),
         )
         try:
@@ -231,7 +229,6 @@ class TestLifecycleAndConfig:
             _build_index(),
             n_shards=2,
             workers=2,
-            backend="process",
         )
         workers = [h.process for h in procs._pool._workers]
         procs.close()
@@ -245,7 +242,6 @@ class TestLifecycleAndConfig:
             _build_index(),
             n_shards=2,
             workers=8,
-            backend="process",
         )
         try:
             assert procs._pool.n_workers == 2
@@ -257,7 +253,6 @@ class TestLifecycleAndConfig:
             _build_index(),
             n_shards=2,
             workers=2,
-            backend="process",
             proc_config=ProcPoolConfig(start_method="spawn"),
         )
         try:
@@ -273,8 +268,7 @@ class TestLifecycleAndConfig:
 
     def test_backend_and_config_validation(self):
         index = _build_index()
-        with pytest.raises(QueryError, match="backend"):
-            ShardedMonitor(index, n_shards=2, backend="rayon")
+        # Serial shards (workers=1) have no pool to configure.
         with pytest.raises(QueryError, match="proc_config"):
             ShardedMonitor(
                 index, n_shards=2, proc_config=ProcPoolConfig()
@@ -294,7 +288,6 @@ class TestLifecycleAndConfig:
             _build_index(),
             n_shards=2,
             workers=2,
-            backend="process",
         )
         try:
             procs.register(KNNSpec(Q_LEFT, 50), query_id="big")
